@@ -57,7 +57,7 @@ let () =
     sched.rounds;
 
   Format.printf "@.switch u made %d configuration change(s) in %d rounds@."
-    sched.power.per_switch_connects.(u)
+    (Padr.Schedule.per_switch_connects sched.power).(u)
     (Padr.Schedule.num_rounds sched);
   let report = Padr.verify sched in
   Format.printf "verification: %a@." Padr.Verify.pp_report report

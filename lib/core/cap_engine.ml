@@ -45,6 +45,19 @@ let rec new_segments cur prev =
       else if c < p then 1 + new_segments cs (p :: ps)
       else new_segments (c :: cs) ps
 
+(* Modeled hardware cost: one up sweep to collect demand, then per round
+   one config sweep down the levels, one grant sweep back and one data
+   cycle; one demand word up and one grant word down per tree link per
+   round, plus the initial collection. *)
+let model_stats topo ~rounds =
+  let levels = Cst.Topology.levels topo in
+  {
+    cycles = 1 + levels + (rounds * (levels + 2));
+    control_messages = 2 * (Cst.Topology.num_nodes topo - 1) * (rounds + 1);
+    max_message_words = 2;
+    state_words_per_switch = 5;
+  }
+
 let simulate ~log topo set =
   let leaves = Cst.Topology.leaves topo in
   if Cst_comm.Comm_set.n set > leaves then
@@ -154,20 +167,7 @@ let simulate ~log topo set =
             (List.rev !admitted)
         done;
         Cst.Exec_log.run_end log ~rounds:!index;
-        let rounds = !index in
-        Ok
-          ( from,
-            {
-              (* Modeled hardware cost: one up sweep to collect demand,
-                 then per round one config sweep down the levels, one
-                 grant sweep back and one data cycle. *)
-              cycles = 1 + levels + (rounds * (levels + 2));
-              (* One demand word up and one grant word down per tree
-                 link per round, plus the initial collection. *)
-              control_messages = 2 * (num_nodes - 1) * (rounds + 1);
-              max_message_words = 2;
-              state_words_per_switch = 5;
-            } )
+        Ok (from, model_stats topo ~rounds:!index)
 
 let run ?(keep_configs = true) ?log topo set =
   let log = match log with Some l -> l | None -> Cst.Exec_log.create () in

@@ -27,6 +27,13 @@ type stats = {
   state_words_per_switch : int;
 }
 
+val model_stats : Cst.Topology.t -> rounds:int -> stats
+(** The stats of a run of [rounds] rounds on [topo] — the engine's
+    closed-form cost model, [cycles = 1 + levels + rounds*(levels+2)]
+    and [2*(num_nodes-1)*(rounds+1)] control messages.  Callers wanting
+    the model of whichever engine serves a topology use
+    {!Engine.model_stats}. *)
+
 val run :
   ?keep_configs:bool ->
   ?log:Cst.Exec_log.t ->

@@ -9,6 +9,10 @@ exception Stall of { round : int; remaining : int }
 (* Internal signal raised from inside a scheduling loop and converted to
    [Error (Stalled _)] at the run boundary. *)
 
+let model_cycles topo ~rounds =
+  let levels = Cst.Topology.levels topo in
+  levels + (rounds * (levels + 1))
+
 let run ?keep_configs ?(eager_clear = false) ?net ?log topo set =
   if not (Cst.Topology.is_binary topo) then begin
     (* The 3-sided switch protocol below is meaningless off the binary
@@ -67,10 +71,9 @@ let run ?keep_configs ?(eager_clear = false) ?net ?log topo set =
           remaining := !remaining - out.matched_count
         done;
         Cst.Exec_log.run_end log ~rounds:!index;
-        let levels = Cst.Topology.levels topo in
         Ok
           (Schedule.of_log ~from ?keep_configs ~set ~topo
-             ~cycles:(levels + (!index * (levels + 1)))
+             ~cycles:(model_cycles topo ~rounds:!index)
              log)
         with Stall { round; remaining } -> Error (Stalled { round; remaining })
 

@@ -26,6 +26,11 @@ exception Stall of { round : int; remaining : int }
 (** Internal: raised by scheduling loops on a no-progress round and mapped
     to [Error (Stalled _)] at each [run] boundary. *)
 
+val model_cycles : Cst.Topology.t -> rounds:int -> int
+(** The spec scheduler's synchronous cycle count on a binary topology:
+    [levels] cycles of Phase 1 plus [levels + 1] per round
+    ([levels + rounds*(levels+1)]); it exchanges no control messages. *)
+
 val run :
   ?keep_configs:bool ->
   ?eager_clear:bool ->

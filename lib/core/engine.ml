@@ -248,6 +248,23 @@ let simulate ?log topo set =
         with Csa.Stall { round; remaining } ->
           Error (Csa.Stalled { round; remaining })
 
+(* The binary engine clocks every level and exchanges one message over
+   every tree link per sweep — a leading broadcast plus one sweep per
+   round — regardless of how the simulator computed the schedule. *)
+let model_stats topo ~rounds =
+  if not (Cst.Topology.is_binary topo) then Cap_engine.model_stats topo ~rounds
+  else
+    let levels = Cst.Topology.levels topo in
+    {
+      cycles = 1 + levels + (rounds * (levels + 2));
+      control_messages = 2 * (Cst.Topology.leaves topo - 1) * (rounds + 1);
+      max_message_words =
+        (if rounds > 0 then
+           max Phase1.up_words_per_message (Downmsg.words Downmsg.null)
+         else Phase1.up_words_per_message);
+      state_words_per_switch = Csa_state.words (Csa_state.zero ());
+    }
+
 let run ?(keep_configs = true) ?log topo set =
   if not (Cst.Topology.is_binary topo) then
     Cap_engine.run ~keep_configs ?log topo set

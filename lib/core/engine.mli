@@ -32,6 +32,13 @@ type stats = Cap_engine.stats = {
   state_words_per_switch : int;  (** switch storage, in words — 5 *)
 }
 
+val model_stats : Cst.Topology.t -> rounds:int -> stats
+(** The closed-form hardware cost of an engine run of [rounds] rounds on
+    [topo], for callers that hold the log but not the run: on a binary
+    topology [cycles = 1 + levels + rounds*(levels+2)] and
+    [2*(leaves-1)*(rounds+1)] control messages, elsewhere
+    {!Cap_engine.model_stats}.  Equal to the stats {!run} reports. *)
+
 val run :
   ?keep_configs:bool ->
   ?log:Cst.Exec_log.t ->

@@ -53,44 +53,15 @@ let run_block ?small topo (b : Cst_comm.Decompose.block) =
              ~dst_base:b.base ~align:b.align)
 
 let merge_blocks ?(keep_configs = true) ?log topo set block_logs =
-  let levels = Cst.Topology.levels topo in
-  let leaves = Cst.Topology.leaves topo in
   let out = match log with Some l -> l | None -> Cst.Exec_log.create () in
   let from = Cst.Exec_log.length out in
-  let merged = Cst.Exec_log.merge ~into:out ~levels block_logs in
-  let rounds =
-    match Cst.Exec_log.event merged (Cst.Exec_log.length merged - 1) with
-    | Cst.Exec_log.Run_end { rounds } -> rounds
-    | _ -> assert false
+  let merged =
+    Cst.Exec_log.merge ~into:out ~levels:(Cst.Topology.levels topo) block_logs
   in
-  let sched =
-    Schedule.of_log ~from ~keep_configs ~set ~topo
-      ~cycles:(1 + levels + (rounds * (levels + 2)))
-      merged
-  in
-  let stats =
-    if Cst.Topology.is_binary topo then
-      {
-        Engine.cycles = 1 + levels + (rounds * (levels + 2));
-        control_messages = 2 * (leaves - 1) * (rounds + 1);
-        max_message_words =
-          (if rounds > 0 then
-             max Phase1.up_words_per_message (Downmsg.words Downmsg.null)
-           else Phase1.up_words_per_message);
-        state_words_per_switch = Csa_state.words (Csa_state.zero ());
-      }
-    else
-      (* Match [Cap_engine]'s closed-form model so segmented and
-         whole-set runs report identical stats. *)
-      {
-        Engine.cycles = 1 + levels + (rounds * (levels + 2));
-        control_messages =
-          2 * (Cst.Topology.num_nodes topo - 1) * (rounds + 1);
-        max_message_words = 2;
-        state_words_per_switch = 5;
-      }
-  in
-  (sched, stats)
+  let rounds = Cst.Exec_log.run_rounds merged in
+  let stats = Engine.model_stats topo ~rounds in
+  (Schedule.of_log ~from ~keep_configs ~set ~topo ~cycles:stats.cycles merged,
+   stats)
 
 let run ?(domains = 1) ?keep_configs ?log topo set =
   match decompose topo set with

@@ -55,13 +55,12 @@ val merge_blocks :
   Schedule.t * Engine.stats
 (** Merge already-rebased per-block logs (ascending block order, e.g.
     from {!run_block} or a plan-cache replay) into [?log] (or a fresh
-    log), derive the schedule of the whole [set] from the merged range,
-    and rebuild the engine's closed-form hardware stats for [topo]:
-    [cycles = 1 + levels + rounds*(levels+2)] and
-    [2*(leaves-1)*(rounds+1)] control messages, where [rounds] is the
-    maximum block round count — the modeled hardware still clocks every
-    level and exchanges a message on every link each round, regardless
-    of how the scheduling work was computed. *)
+    log), derive the schedule of the whole [set] from the merged range
+    — the one derivation of a segmented job — and rebuild the engine's
+    closed-form hardware stats for [topo] ({!Engine.model_stats}) from
+    the maximum block round count: the modeled hardware still clocks
+    every level and exchanges a message on every link each round,
+    regardless of how the scheduling work was computed. *)
 
 val run :
   ?domains:int ->

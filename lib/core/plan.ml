@@ -12,25 +12,6 @@ type t = {
   log : Cst.Exec_log.t;
 }
 
-(* The cycle and control-message formulas are the producers' own
-   synchronous-cost models (Theorem 5): every functional scheduler pays
-   [levels] cycles of Phase 1 plus [levels + 1] per round; the
-   message-passing engine pays one extra cycle per sweep and a leading
-   broadcast, and exchanges one message over every tree link per sweep
-   — [(rounds + 1)] sweeps over [2*(leaves-1)] directed links.  They
-   are only consulted when a plan is replayed onto a different tree
-   size; at the compiled size the frozen values are returned as-is. *)
-
-let model_cycles producer ~levels ~rounds =
-  match producer with
-  | Spec -> levels + (rounds * (levels + 1))
-  | Engine -> 1 + levels + (rounds * (levels + 2))
-
-let model_control_messages producer ~leaves ~rounds =
-  match producer with
-  | Spec -> 0
-  | Engine -> 2 * (leaves - 1) * (rounds + 1)
-
 let of_log ~producer ~topo ~set ~rounds ~cycles ?(control_messages = 0) log =
   let placed = Cst.Canon.place set in
   {
@@ -70,46 +51,48 @@ type replayed = {
   control_messages : int;
 }
 
-let replay ?(keep_configs = true) t topo set =
+let relocate t topo set =
   let leaves = Cst.Topology.leaves topo in
   let placed = Cst.Canon.place set in
   if not (Cst.Canon.equal placed.canon t.canon) then
-    invalid_arg "Padr.Plan.replay: set does not match the plan's signature";
+    invalid_arg "Padr.Plan.relocate: set does not match the plan's signature";
   if Cst_comm.Comm_set.n set > leaves then
-    invalid_arg "Padr.Plan.replay: set does not fit the topology";
+    invalid_arg "Padr.Plan.relocate: set does not fit the topology";
   if not (Cst.Shape.is_binary t.shape) then begin
     (* Translation is not a congruence off the binary shape (subtrees at
        one depth need not be isomorphic, and capacities are positional),
        so a non-binary plan replays only at its compiled shape and
        placement. *)
     if not (Cst.Shape.equal (Cst.Topology.shape topo) t.shape) then
-      invalid_arg "Padr.Plan.replay: topology shape differs from the plan's";
+      invalid_arg "Padr.Plan.relocate: topology shape differs from the plan's";
     if placed.base <> t.base then
       invalid_arg
-        "Padr.Plan.replay: non-binary plans replay only at their compiled \
+        "Padr.Plan.relocate: non-binary plans replay only at their compiled \
          placement"
   end
   else if not (Cst.Topology.is_binary topo) then
-    invalid_arg "Padr.Plan.replay: binary plan on a non-binary topology"
+    invalid_arg "Padr.Plan.relocate: binary plan on a non-binary topology"
   else if not (Cst.Canon.compatible t.canon ~leaves ~base:placed.base) then
-    invalid_arg "Padr.Plan.replay: placement incompatible with the topology";
-  let log =
-    if leaves = t.leaves && placed.base = t.base then t.log
+    invalid_arg "Padr.Plan.relocate: placement incompatible with the topology";
+  if leaves = t.leaves && placed.base = t.base then t.log
+  else
+    Cst.Exec_log.rebase t.log ~src_leaves:t.leaves ~src_base:t.base
+      ~dst_leaves:leaves ~dst_base:placed.base
+      ~align:(Cst.Canon.align t.canon)
+
+(* The frozen cycle and message counts hold at the compiled tree size;
+   at any other size they are re-modeled from the producer's closed
+   form (Theorem 5).  Only binary plans change size. *)
+let replay ?(keep_configs = true) t topo set =
+  let log = relocate t topo set in
+  let cycles, control_messages =
+    if Cst.Topology.leaves topo = t.leaves then (t.cycles, t.control_messages)
     else
-      Cst.Exec_log.rebase t.log ~src_leaves:t.leaves ~src_base:t.base
-        ~dst_leaves:leaves ~dst_base:placed.base
-        ~align:(Cst.Canon.align t.canon)
-  in
-  let cycles =
-    if leaves = t.leaves then t.cycles
-    else
-      model_cycles t.producer
-        ~levels:(Cst.Topology.levels topo)
-        ~rounds:t.rounds
-  in
-  let control_messages =
-    if leaves = t.leaves then t.control_messages
-    else model_control_messages t.producer ~leaves ~rounds:t.rounds
+      match t.producer with
+      | Spec -> (Csa.model_cycles topo ~rounds:t.rounds, 0)
+      | Engine ->
+          let m = Engine.model_stats topo ~rounds:t.rounds in
+          (m.cycles, m.control_messages)
   in
   {
     schedule = Schedule.of_log ~keep_configs ~set ~topo ~cycles log;

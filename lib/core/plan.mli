@@ -5,17 +5,18 @@
     by the set's structural signature ({!Cst.Canon}).  Replaying a plan
     reconstructs the full {!Schedule.t} for any set congruent to the
     compiled one (same signature, any compatible placement and tree
-    size) without re-running the scheduler: the log is relocated with
-    {!Cst.Exec_log.rebase} in O(events) and the schedule derived from
-    it, byte-identical (same {!Cst.Exec_log.digest}) to a fresh run on
-    the target set. *)
+    size) without re-running the scheduler.  It is two steps:
+    {!relocate} checks the set against the plan and moves the log with
+    {!Cst.Exec_log.rebase} in O(events), byte-identical (same
+    {!Cst.Exec_log.digest}) to a fresh run on the target set; {!replay}
+    then derives the schedule from the relocated log.  Callers that
+    only merge logs (the segment-parallel path) stop after the first
+    step. *)
 
 type producer = Spec | Engine
 (** Which cycle model the compiled run obeys: the functional scheduler
-    family ([cycles = levels + rounds*(levels+1)], control-message
-    free) or the message-passing engine
-    ([cycles = 1 + levels + rounds*(levels+2)],
-    [2*(leaves-1)*(rounds+1)] control messages). *)
+    family ({!Csa.model_cycles}, control-message free) or the
+    message-passing engine ({!Engine.model_stats}). *)
 
 type t = private {
   producer : producer;
@@ -62,19 +63,30 @@ type replayed = {
   control_messages : int;  (** re-modeled for the target tree size *)
 }
 
-val replay :
-  ?keep_configs:bool -> t -> Cst.Topology.t -> Cst_comm.Comm_set.t -> replayed
-(** Reconstructs the schedule of [set] on [topo] from the plan.  [set]
-    must carry the plan's signature (checked; [Invalid_argument]
-    otherwise) and fit the topology.  O(events + size·log leaves) — no
-    scheduling.
+val relocate : t -> Cst.Topology.t -> Cst_comm.Comm_set.t -> Cst.Exec_log.t
+(** The relocation step of {!replay}: the plan's log moved to [set]'s
+    placement on [topo], digest-identical to a fresh run of [set] there.
+    [set] must carry the plan's signature (checked; [Invalid_argument]
+    otherwise) and fit the topology.  O(events + size·log leaves); no
+    schedule is derived.  The result aliases the plan's arena when the
+    placement is unchanged, so treat it as read-only.
 
     Binary plans relocate freely: any compatible placement on any
     binary tree size, via {!Cst.Exec_log.rebase}.  Non-binary plans
-    replay only on a topology of the {e identical} shape with the set
-    at the {e identical} placement — translation is not a congruence
-    once subtrees at one depth stop being isomorphic and capacities are
-    positional — and raise [Invalid_argument] otherwise. *)
+    relocate only onto a topology of the {e identical} shape with the
+    set at the {e identical} placement — translation is not a
+    congruence once subtrees at one depth stop being isomorphic and
+    capacities are positional — and raise [Invalid_argument]
+    otherwise. *)
+
+val replay :
+  ?keep_configs:bool -> t -> Cst.Topology.t -> Cst_comm.Comm_set.t -> replayed
+(** Reconstructs the schedule of [set] on [topo] from the plan:
+    {!relocate}, the producer's cycle and message counts re-modeled for
+    the target tree size ({!Csa.model_cycles}, {!Engine.model_stats}),
+    and {!Schedule.of_log} over the relocated log.  Same checks and
+    exceptions as {!relocate}; O(events + size·log leaves) — no
+    scheduling. *)
 
 val bytes : t -> int
 (** Approximate heap footprint (event arena + signature + boxing);

@@ -13,9 +13,11 @@ type power = {
   max_connects_per_switch : int;
   max_writes_per_switch : int;
   max_events_per_switch : int;
-  per_switch_connects : int array;
-  per_switch_writes : int array;
-  per_switch_disconnects : int array;
+  num_nodes : int;
+  switches : int array;
+  connects : int array;
+  disconnects : int array;
+  writes : int array;
 }
 
 type t = {
@@ -37,18 +39,13 @@ let all_deliveries t =
 let deliveries_per_round t =
   Array.map (fun r -> List.length r.deliveries) t.rounds
 
-let power_of_meter meter =
-  {
-    total_connects = Cst.Power_meter.total_connects meter;
-    total_disconnects = Cst.Power_meter.total_disconnects meter;
-    total_writes = Cst.Power_meter.total_writes meter;
-    max_connects_per_switch = Cst.Power_meter.max_connects_per_switch meter;
-    max_writes_per_switch = Cst.Power_meter.max_writes_per_switch meter;
-    max_events_per_switch = Cst.Power_meter.max_events_per_switch meter;
-    per_switch_connects = Cst.Power_meter.per_switch_connects meter;
-    per_switch_writes = Cst.Power_meter.per_switch_writes meter;
-    per_switch_disconnects = Cst.Power_meter.per_switch_disconnects meter;
-  }
+(* --- power summaries ----------------------------------------------
+
+   A summary holds its per-switch counts sparsely: the switches with a
+   nonzero count, ascending by node, with three parallel count arrays.
+   The representation is canonical (no zero entry, strictly ascending
+   nodes), so structural equality of two summaries is equality of the
+   dense ledgers they stand for.  Every summary is built by [tally]. *)
 
 let zero_power ~num_nodes =
   {
@@ -58,55 +55,172 @@ let zero_power ~num_nodes =
     max_connects_per_switch = 0;
     max_writes_per_switch = 0;
     max_events_per_switch = 0;
-    per_switch_connects = Array.make (num_nodes + 1) 0;
-    per_switch_writes = Array.make (num_nodes + 1) 0;
-    per_switch_disconnects = Array.make (num_nodes + 1) 0;
+    num_nodes;
+    switches = [||];
+    connects = [||];
+    disconnects = [||];
+    writes = [||];
   }
 
-let add_arrays a b =
-  let n = max (Array.length a) (Array.length b) in
-  Array.init n (fun i ->
-      (if i < Array.length a then a.(i) else 0)
-      + if i < Array.length b then b.(i) else 0)
+(* Per-domain scratch ledger of [tally]: dense counters, all zero
+   between calls (a call resets exactly the slots it touched), plus the
+   list of touched nodes.  It grows to the largest tree seen and is
+   never shared: a nested or concurrent call on the same domain finds it
+   busy and uses a fresh one. *)
+type scratch = {
+  mutable busy : bool;
+  mutable c : int array;
+  mutable d : int array;
+  mutable w : int array;
+  mutable touched : int array;
+}
 
-let max_of = Array.fold_left max 0
+let new_scratch () =
+  { busy = false; c = [||]; d = [||]; w = [||]; touched = Array.make 64 0 }
 
-let combine_power a b =
-  (* A switch busy in both parts accumulates: the per-part maxima cannot
-     simply be maxed, they are recomputed from the summed arrays. *)
-  let connects = add_arrays a.per_switch_connects b.per_switch_connects in
-  let writes = add_arrays a.per_switch_writes b.per_switch_writes in
-  let disconnects =
-    add_arrays a.per_switch_disconnects b.per_switch_disconnects
+let scratch_key = Domain.DLS.new_key new_scratch
+
+(* [tally ~num_nodes feed] runs [feed add], where [add node ~c ~d ~w]
+   charges counts to a switch, and summarizes the charges in
+   O(charges + busy switches) — never O(num_nodes) unless the busy
+   switches cover a 64th of the tree, when a scan beats a sort, or the
+   domain's scratch must first grow to this tree. *)
+let tally ~num_nodes feed =
+  let s =
+    let s = Domain.DLS.get scratch_key in
+    if s.busy then new_scratch () else s
   in
-  let events = add_arrays connects disconnects in
-  {
-    total_connects = a.total_connects + b.total_connects;
-    total_disconnects = a.total_disconnects + b.total_disconnects;
-    total_writes = a.total_writes + b.total_writes;
-    max_connects_per_switch = max_of connects;
-    max_writes_per_switch = max_of writes;
-    max_events_per_switch = max_of events;
-    per_switch_connects = connects;
-    per_switch_writes = writes;
-    per_switch_disconnects = disconnects;
-  }
+  if Array.length s.c <= num_nodes then begin
+    s.c <- Array.make (num_nodes + 1) 0;
+    s.d <- Array.make (num_nodes + 1) 0;
+    s.w <- Array.make (num_nodes + 1) 0
+  end;
+  s.busy <- true;
+  let c = s.c and d = s.d and w = s.w in
+  let k = ref 0 in
+  let add node ~c:dc ~d:dd ~w:dw =
+    if node < 0 || node > num_nodes then
+      invalid_arg "Padr.Schedule: switch beyond num_nodes";
+    if dc > 0 || dd > 0 || dw > 0 then begin
+      if c.(node) = 0 && d.(node) = 0 && w.(node) = 0 then begin
+        if !k = Array.length s.touched then begin
+          let t = Array.make (2 * !k) 0 in
+          Array.blit s.touched 0 t 0 !k;
+          s.touched <- t
+        end;
+        s.touched.(!k) <- node;
+        incr k
+      end;
+      c.(node) <- c.(node) + dc;
+      d.(node) <- d.(node) + dd;
+      w.(node) <- w.(node) + dw
+    end
+  in
+  let release () =
+    for i = 0 to !k - 1 do
+      let node = s.touched.(i) in
+      c.(node) <- 0;
+      d.(node) <- 0;
+      w.(node) <- 0
+    done;
+    s.busy <- false
+  in
+  Fun.protect ~finally:release (fun () ->
+      feed add;
+      let k = !k in
+      let switches =
+        if 64 * k >= num_nodes then begin
+          let sw = Array.make k 0 and j = ref 0 in
+          for node = 0 to num_nodes do
+            if c.(node) <> 0 || d.(node) <> 0 || w.(node) <> 0 then begin
+              sw.(!j) <- node;
+              incr j
+            end
+          done;
+          sw
+        end
+        else begin
+          let sw = Array.sub s.touched 0 k in
+          Array.sort Int.compare sw;
+          sw
+        end
+      in
+      let tc = ref 0 and td = ref 0 and tw = ref 0 in
+      let mc = ref 0 and mw = ref 0 and me = ref 0 in
+      Array.iter
+        (fun node ->
+          let ci = c.(node) and di = d.(node) and wi = w.(node) in
+          tc := !tc + ci;
+          td := !td + di;
+          tw := !tw + wi;
+          if ci > !mc then mc := ci;
+          if wi > !mw then mw := wi;
+          if ci + di > !me then me := ci + di)
+        switches;
+      {
+        total_connects = !tc;
+        total_disconnects = !td;
+        total_writes = !tw;
+        max_connects_per_switch = !mc;
+        max_writes_per_switch = !mw;
+        max_events_per_switch = !me;
+        num_nodes;
+        switches;
+        connects = Array.map (fun node -> c.(node)) switches;
+        disconnects = Array.map (fun node -> d.(node)) switches;
+        writes = Array.map (fun node -> w.(node)) switches;
+      })
+
+let power_of_log ?from ?upto ~num_nodes log =
+  tally ~num_nodes (fun add ->
+      Cst.Exec_log.iter ?from ?upto log (function
+        | Cst.Exec_log.Connect { node; _ } -> add node ~c:1 ~d:0 ~w:0
+        | Cst.Exec_log.Disconnect { node; _ } -> add node ~c:0 ~d:1 ~w:0
+        | Cst.Exec_log.Write_config { node; count } ->
+            add node ~c:0 ~d:0 ~w:count
+        | Cst.Exec_log.Phase_done _ | Cst.Exec_log.Round_begin _
+        | Cst.Exec_log.Deliver _ | Cst.Exec_log.Run_end _ ->
+            ()))
+
+let power_of_meter meter =
+  let num_nodes = Cst.Power_meter.num_nodes meter in
+  tally ~num_nodes (fun add ->
+      for node = 0 to num_nodes do
+        add node
+          ~c:(Cst.Power_meter.connects meter ~node)
+          ~d:(Cst.Power_meter.disconnects meter ~node)
+          ~w:(Cst.Power_meter.writes meter ~node)
+      done)
+
+let add_entries add ?(image = Fun.id) p =
+  Array.iteri
+    (fun i node ->
+      add (image node) ~c:p.connects.(i) ~d:p.disconnects.(i) ~w:p.writes.(i))
+    p.switches
+
+(* A switch busy in both parts accumulates, so the maxima are recomputed
+   from the summed counts rather than maxed. *)
+let combine_power a b =
+  tally ~num_nodes:(max a.num_nodes b.num_nodes) (fun add ->
+      add_entries add a;
+      add_entries add b)
 
 let mirror_power topo p =
-  let remap a =
-    Array.mapi
-      (fun i v ->
-        if i >= 1 && i <= Cst.Topology.num_nodes topo then
-          a.(Cst.Topology.mirror_node topo i)
-        else v)
-      a
+  let nodes = Cst.Topology.num_nodes topo in
+  let image node =
+    if node >= 1 && node <= nodes then Cst.Topology.mirror_node topo node
+    else node
   in
-  {
-    p with
-    per_switch_connects = remap p.per_switch_connects;
-    per_switch_writes = remap p.per_switch_writes;
-    per_switch_disconnects = remap p.per_switch_disconnects;
-  }
+  tally ~num_nodes:p.num_nodes (fun add -> add_entries add ~image p)
+
+let dense p counts =
+  let a = Array.make (p.num_nodes + 1) 0 in
+  Array.iteri (fun i node -> a.(node) <- counts.(i)) p.switches;
+  a
+
+let per_switch_connects p = dense p p.connects
+let per_switch_disconnects p = dense p p.disconnects
+let per_switch_writes p = dense p p.writes
 
 (* The schedule as a pure derivation of the execution log.  Sources are
    the delivery sources in emission order (every producer sweeps PEs in
@@ -143,7 +257,7 @@ let of_log ?from ?upto ?(keep_configs = true) ~set ~topo ~cycles log =
     set;
     width;
     rounds;
-    power = power_of_meter (Cst.Power_meter.of_log ?from ?upto ~num_nodes log);
+    power = power_of_log ?from ?upto ~num_nodes log;
     cycles;
   }
 

@@ -23,10 +23,18 @@ type power = {
   max_writes_per_switch : int;
       (** O(1) under CSA, O(w) under per-round scheduling *)
   max_events_per_switch : int;
-  per_switch_connects : int array;  (** indexed by node id *)
-  per_switch_writes : int array;
-  per_switch_disconnects : int array;
+  num_nodes : int;
+      (** switches live at nodes [1 .. num_nodes]; sizes the dense views *)
+  switches : int array;
+      (** the switches with a nonzero count, strictly ascending by node:
+          the per-switch ledger is sparse, O(busy switches) words *)
+  connects : int array;  (** per entry of [switches] *)
+  disconnects : int array;
+  writes : int array;
 }
+(** A power summary.  Its sparse ledger is canonical (ascending nodes,
+    no all-zero entry), so structural equality of two summaries is
+    equality of the dense ledgers they stand for. *)
 
 type t = {
   leaves : int;
@@ -50,7 +58,7 @@ val of_log :
   t
 (** Derive a schedule from a log range: rounds, deliveries and config
     snapshots from {!Cst.Exec_log.fold_rounds}, power from
-    {!Cst.Power_meter.of_log}.  [cycles] stays caller-supplied because
+    {!power_of_log}.  [cycles] stays caller-supplied because
     the synchronous-cycle formula is a property of the producer (the
     message-passing engine pays an extra broadcast sweep).  This is the
     only constructor the producers use. *)
@@ -62,22 +70,40 @@ val all_deliveries : t -> (int * int) list
 
 val deliveries_per_round : t -> int array
 
+val power_of_log :
+  ?from:int -> ?upto:int -> num_nodes:int -> Cst.Exec_log.t -> power
+(** The power summary of a log range — totals, the three per-switch
+    maxima and the sparse ledger — in one pass over its events: O(events)
+    time and words, whatever the tree size (a per-domain scratch ledger,
+    reused across calls, is sized once to the largest tree seen).  Equal, count for count, to
+    {!power_of_meter} over {!Cst.Power_meter.of_log}, the dense meter
+    kept as its oracle.  Raises [Invalid_argument] on an event at a node
+    beyond [num_nodes]. *)
+
 val power_of_meter : Cst.Power_meter.t -> power
-(** Snapshot a live meter into the immutable summary. *)
+(** Snapshot a live (dense) meter into the summary. *)
+
+val per_switch_connects : power -> int array
+(** Dense view indexed by node id, length [num_nodes + 1] (index 0
+    unused) — the layout of {!Cst.Power_meter.per_switch_connects}.
+    O(num_nodes); for tests, reports and the examples. *)
+
+val per_switch_writes : power -> int array
+val per_switch_disconnects : power -> int array
 
 val zero_power : num_nodes:int -> power
 (** Neutral element of {!combine_power}. *)
 
 val combine_power : power -> power -> power
-(** Componentwise combination for multi-part schedules (waves, mixed
-    orientations, traffic phases): totals add, per-switch maxima take the
-    max of the two parts' maxima, per-switch arrays add pointwise (arrays
-    of different lengths are padded). *)
+(** Combination for multi-part schedules (waves, mixed orientations,
+    traffic phases): per-switch counts add, so totals add and the
+    per-switch maxima are recomputed from the sums; [num_nodes] is the
+    larger of the two.  O(busy switches of both parts). *)
 
 val mirror_power : Cst.Topology.t -> power -> power
-(** Re-expresses per-switch arrays of a schedule computed on the mirrored
-    tree in original node coordinates ({!Cst.Topology.mirror_node});
-    totals and maxima are reflection-invariant. *)
+(** Re-expresses the ledger of a schedule computed on the mirrored tree
+    in original node coordinates ({!Cst.Topology.mirror_node}); totals
+    and maxima are reflection-invariant. *)
 
 val pp_round : Format.formatter -> round -> unit
 val pp : Format.formatter -> t -> unit

@@ -138,6 +138,16 @@ let event t i =
   if i < 0 || i >= t.len then invalid_arg "Exec_log.event: index out of range";
   decode t.buf.(i)
 
+let run_rounds t =
+  let fail () =
+    invalid_arg "Exec_log.run_rounds: log does not end with Run_end"
+  in
+  if t.len = 0 then fail ()
+  else
+    match decode t.buf.(t.len - 1) with
+    | Run_end { rounds } -> rounds
+    | _ -> fail ()
+
 let iter ?from ?upto t f =
   let from, upto = clamp ?from ?upto t in
   for i = from to upto - 1 do

@@ -70,6 +70,11 @@ val event : t -> int -> event
 (** Decode the event at a position.  Raises [Invalid_argument] outside
     [0 .. length - 1]. *)
 
+val run_rounds : t -> int
+(** The round count of the [Run_end] that closes the log — the round
+    count of a single-run or merged log.  Raises [Invalid_argument] if
+    the last event is not a [Run_end]. *)
+
 val iter : ?from:int -> ?upto:int -> t -> (event -> unit) -> unit
 val fold : ?from:int -> ?upto:int -> t -> init:'a -> f:('a -> event -> 'a) -> 'a
 

@@ -28,22 +28,40 @@ let of_log ?from ?upto ~num_nodes log =
           ());
   t
 
+let num_nodes t = Array.length t.connects - 1
 let connects t ~node = t.connects.(node)
 let disconnects t ~node = t.disconnects.(node)
 let writes t ~node = t.writes.(node)
 
-let sum a = Array.fold_left ( + ) 0 a
+(* The scans are int-typed on purpose: a bare [Stdlib.max] folded over
+   an array is a polymorphic compare call per element. *)
+let sum (a : int array) =
+  let s = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    s := !s + a.(i)
+  done;
+  !s
+
 let total_connects t = sum t.connects
 let total_disconnects t = sum t.disconnects
 let total_writes t = sum t.writes
 
-let max_of a = Array.fold_left max 0 a
+let max_of (a : int array) =
+  let m = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    if a.(i) > !m then m := a.(i)
+  done;
+  !m
+
 let max_connects_per_switch t = max_of t.connects
 let max_writes_per_switch t = max_of t.writes
 
 let max_events_per_switch t =
   let m = ref 0 in
-  Array.iteri (fun i c -> m := max !m (c + t.disconnects.(i))) t.connects;
+  for i = 0 to Array.length t.connects - 1 do
+    let e = t.connects.(i) + t.disconnects.(i) in
+    if e > !m then m := e
+  done;
   !m
 
 let per_switch_connects t = Array.copy t.connects

@@ -33,6 +33,9 @@ val of_log : ?from:int -> ?upto:int -> num_nodes:int -> Exec_log.t -> t
     range to its switch.  [num_nodes] sizes the ledger: switches live
     at nodes [1 .. num_nodes]. *)
 
+val num_nodes : t -> int
+(** The ledger's size: switches live at nodes [1 .. num_nodes]. *)
+
 val connects : t -> node:int -> int
 val disconnects : t -> node:int -> int
 val writes : t -> node:int -> int

@@ -248,10 +248,11 @@ let dispatch ?cache (job : job) =
         | Segmented ->
             (* Segment-parallel engine path: decompose into independent
                top-level blocks, serve each block from the plan cache
-               when its signature is resident (a cached block replays
-               while its siblings schedule fresh), merge the per-block
-               logs and derive the whole-set schedule.  The digest and
-               every outcome field are identical to [Message_passing]'s
+               when its signature is resident (a cached block's log is
+               only relocated while its siblings schedule fresh), merge
+               the per-block logs and derive the whole-set schedule
+               once.  The digest and every outcome field are identical
+               to [Message_passing]'s
                — only [blocks]/[block_hits] reveal the path taken.
                Per-block plans are keyed exactly like whole-set engine
                plans (same canon, full-tree [leaves]), so a whole-set
@@ -268,7 +269,6 @@ let dispatch ?cache (job : job) =
               | Error e -> Error (error_of_csa e)
               | Ok bs -> (
                   let hits = ref 0 in
-                  let levels = Cst.Topology.levels topo in
                   let block_log (b : Cst_comm.Decompose.block) =
                     match cache with
                     | None -> Padr.Par_engine.run_block topo b
@@ -282,10 +282,7 @@ let dispatch ?cache (job : job) =
                         match Plan_cache.find pc ~worker key with
                         | Some plan ->
                             incr hits;
-                            Ok
-                              (Padr.Plan.replay ~keep_configs:false plan topo
-                                 b.set)
-                                .log
+                            Ok (Padr.Plan.relocate plan topo b.set)
                         | None -> (
                             match Padr.Par_engine.run_block topo b with
                             | Error e -> Error e
@@ -294,28 +291,12 @@ let dispatch ?cache (job : job) =
                                    standalone engine run of [b.set] on the
                                    full tree would emit; freeze it with the
                                    engine's closed-form metadata. *)
-                                let rounds =
-                                  match
-                                    Cst.Exec_log.event blog
-                                      (Cst.Exec_log.length blog - 1)
-                                  with
-                                  | Cst.Exec_log.Run_end { rounds } -> rounds
-                                  | _ -> assert false
-                                in
-                                let control_messages =
-                                  if binary then 2 * (leaves - 1) * (rounds + 1)
-                                  else
-                                    (* [Cap_engine]'s closed form *)
-                                    2
-                                    * (Cst.Topology.num_nodes topo - 1)
-                                    * (rounds + 1)
-                                in
+                                let rounds = Cst.Exec_log.run_rounds blog in
+                                let m = Padr.Engine.model_stats topo ~rounds in
                                 Plan_cache.add pc ~worker key
                                   (Padr.Plan.of_log ~producer:Padr.Plan.Engine
-                                     ~topo ~set:b.set ~rounds
-                                     ~cycles:
-                                       (1 + levels + (rounds * (levels + 2)))
-                                     ~control_messages blog);
+                                     ~topo ~set:b.set ~rounds ~cycles:m.cycles
+                                     ~control_messages:m.control_messages blog);
                                 Ok blog))
                   in
                   let rec collect acc = function

@@ -92,12 +92,13 @@ let test_min_connects_bound () =
   let t = topo 16 in
   let floor_ = Cst_baselines.Bounds.min_connects_per_switch t sample in
   let s = Padr.Csa.run_exn t sample in
+  let connects = Padr.Schedule.per_switch_connects s.power in
   Array.iteri
     (fun node f ->
       if node >= 1 && node < 16 then
         check_true
           (Printf.sprintf "switch %d: csa >= floor" node)
-          (s.power.per_switch_connects.(node) >= f))
+          (connects.(node) >= f))
     floor_
 
 let test_min_total_connects () =

@@ -18,11 +18,12 @@ let check_power msg (a : Padr.Schedule.power) (b : Padr.Schedule.power) =
   check_int (msg ^ ": max events/switch") a.max_events_per_switch
     b.max_events_per_switch;
   check_true (msg ^ ": per-switch connects")
-    (a.per_switch_connects = b.per_switch_connects);
+    (Padr.Schedule.per_switch_connects a = Padr.Schedule.per_switch_connects b);
   check_true (msg ^ ": per-switch writes")
-    (a.per_switch_writes = b.per_switch_writes);
+    (Padr.Schedule.per_switch_writes a = Padr.Schedule.per_switch_writes b);
   check_true (msg ^ ": per-switch disconnects")
-    (a.per_switch_disconnects = b.per_switch_disconnects)
+    (Padr.Schedule.per_switch_disconnects a
+    = Padr.Schedule.per_switch_disconnects b)
 
 let check_round msg (a : Padr.Schedule.round) (b : Padr.Schedule.round) =
   check_int (msg ^ ": index") a.index b.index;

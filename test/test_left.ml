@@ -60,10 +60,11 @@ let test_equivalent_to_mirroring () =
       via_native.power.max_connects_per_switch;
     (* per-switch ledgers agree through the reflection *)
     let reflected =
-      (Padr.Schedule.mirror_power t via_mirror.power).per_switch_connects
+      Padr.Schedule.per_switch_connects
+        (Padr.Schedule.mirror_power t via_mirror.power)
     in
     check_true "per-switch ledger reflects"
-      (reflected = via_native.power.per_switch_connects)
+      (reflected = Padr.Schedule.per_switch_connects via_native.power)
   done
 
 let test_per_round_reflection () =

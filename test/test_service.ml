@@ -389,6 +389,99 @@ let test_segmented_interop_with_engine_plans () =
           Alcotest.fail
             (Printf.sprintf "expected 4 outcomes, got %d" (List.length os)))
 
+(* Segmented jobs on large trees, in every cache state: a random
+   well-nested template at a random aligned offset runs cold, partly
+   cached (a cache warmed by some of its blocks) and fully cached (warmed
+   by the whole set at another offset — on the 4-ary shape, where plans
+   replay only in place, at the same offset), and must give the fresh
+   engine's outcome byte for byte.  A cached block's log is only
+   relocated, never derived: its digest must equal the full replay's and
+   a fresh block run's. *)
+let test_segmented_cache_states =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:24
+       ~name:"segmented cold/partial/full cache = fresh engine, on big trees"
+       QCheck.(pair (int_bound 1_000_000) (int_bound 2))
+       (fun (seed, tree) ->
+         let rng = Cst_util.Prng.create seed in
+         let shape =
+           match tree with
+           | 0 -> Cst.Shape.binary ~leaves:1024
+           | 1 -> Cst.Shape.binary ~leaves:4096
+           | _ -> Cst.Shape.kary ~k:4 ~leaves:1024
+         in
+         let leaves = Cst.Shape.leaves shape in
+         let binary = Cst.Shape.is_binary shape in
+         (* template span: 8..64 PEs, a power of four on the 4-ary shape *)
+         let m =
+           if binary then 1 lsl (3 + Cst_util.Prng.int rng 4)
+           else 1 lsl (2 * (2 + Cst_util.Prng.int rng 2))
+         in
+         let template =
+           Cst_workloads.Gen_wn.uniform rng ~n:m
+             ~density:(0.2 +. Cst_util.Prng.float rng 0.8)
+         in
+         let at slot =
+           Cst_workloads.Gen_wn.translate ~by:(m * slot)
+             (Cst_comm.Comm_set.create_exn ~n:leaves
+                (Array.to_list (Cst_comm.Comm_set.comms template)))
+         in
+         let a = at (Cst_util.Prng.int rng (leaves / m)) in
+         let b =
+           if binary then at (Cst_util.Prng.int rng (leaves / m)) else a
+         in
+         let topo = Cst.Topology.of_shape shape in
+         let blocks s = Result.get_ok (Padr.Par_engine.decompose topo s) in
+         let job engine s = Service.job ~engine ~shape ~id:0 ~algo:"csa" s in
+         let line r = Service.outcome_to_string { job_id = 0; result = r } in
+         let fresh = line (Service.run_job (job Service.Message_passing a)) in
+         let segmented ?(warm = []) s =
+           let pc = Plan_cache.create ~domains:1 () in
+           List.iter
+             (fun w ->
+               ignore
+                 (Service.run_job ~cache:(pc, 0) (job Service.Segmented w)))
+             warm;
+           Service.run_job ~cache:(pc, 0) (job Service.Segmented s)
+         in
+         let some_blocks =
+           (* every other block of the warming placement *)
+           Cst_comm.Comm_set.create_exn ~n:leaves
+             (List.concat
+                (List.filteri
+                   (fun i _ -> i mod 2 = 0)
+                   (List.map
+                      (fun (bl : Cst_comm.Decompose.block) ->
+                        Array.to_list (Cst_comm.Comm_set.comms bl.set))
+                      (blocks b))))
+         in
+         let full = segmented ~warm:[ b ] a in
+         let outcomes_agree =
+           line (segmented a) = fresh
+           && line (segmented ~warm:[ some_blocks ] a) = fresh
+           && line full = fresh
+           &&
+           match full with
+           | Ok r -> r.block_hits = r.blocks
+           | Error _ -> false
+         in
+         let digest = Cst.Exec_log.digest in
+         let relocation_agrees =
+           List.for_all2
+             (fun (ba : Cst_comm.Decompose.block)
+                  (bb : Cst_comm.Decompose.block) ->
+               let plan =
+                 Result.get_ok
+                   (Padr.Plan.compile ~producer:Padr.Plan.Engine topo bb.set)
+               in
+               let relocated = digest (Padr.Plan.relocate plan topo ba.set) in
+               relocated = digest (Padr.Plan.replay plan topo ba.set).log
+               && relocated
+                  = digest (Result.get_ok (Padr.Par_engine.run_block topo ba)))
+             (blocks a) (blocks b)
+         in
+         outcomes_agree && relocation_agrees))
+
 (* Unit tests against the cache itself: LRU eviction honours the byte
    budget, and a duplicate insert keeps the resident entry. *)
 let plan_for ~id =
@@ -477,6 +570,7 @@ let suite =
     case "segmented jobs cache per-block plans" test_segmented_block_cache;
     case "block plans interoperate with whole-set engine plans"
       test_segmented_interop_with_engine_plans;
+    test_segmented_cache_states;
     case "cache hit rate on a repetitive trace" test_cache_hit_rate;
     case "cache disabled" test_cache_disabled;
     case "uncacheable paths bypass" test_uncacheable_paths_bypass;
