@@ -222,9 +222,10 @@ let check_shapes seed rng =
   let expected = Cst_comm.Comm_set.matching set in
   let width =
     Cst_comm.Width.width_on
-      ~parent:(Cst.Topology.parent_table topo)
+      ~parent:(Cst.Topology.parent topo)
       ~first_leaf:(Cst.Topology.first_leaf topo)
-      ~cap:(Cst.Topology.cap_table topo)
+      ~leaves:(Cst.Topology.leaves topo)
+      ~cap:(Cst.Topology.uplink_cap topo)
       set
   in
   let log = Cst.Exec_log.create () in

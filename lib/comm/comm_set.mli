@@ -3,7 +3,12 @@
     A valid communication set uses each PE as at most one endpoint — every PE
     is a source of at most one communication, a destination of at most one,
     and never both (paper §3, Step 1.1: a PE reports [1,0], [0,1] or
-    [0,0]).  Sets are stored sorted by source for canonical comparison. *)
+    [0,0]).  Sets are stored sorted by source for canonical comparison.
+
+    A set holds [n] and its members, nothing per PE: building one costs
+    O(size log size) and slicing or translating one O(size), whatever
+    [n] is.  A PE's role is recovered by walking the endpoints in PE
+    order ({!iter_endpoints}). *)
 
 type t
 
@@ -16,7 +21,12 @@ type error =
   | Shared_endpoint of int  (** PE used by two communications *)
 
 val create : n:int -> Comm.t list -> (t, error) result
-(** Validates endpoints against [n] PEs and endpoint-disjointness. *)
+(** Validates endpoints against [n] PEs and endpoint-disjointness in
+    O(size log size), whatever [n] is.  Members are checked in source order, each
+    claiming its source and then its destination; the first member that
+    fails decides the error: [Out_of_range] if an endpoint lies outside
+    [\[0, n)], otherwise [Shared_endpoint] of its destination if an
+    earlier claim holds it, otherwise of its source. *)
 
 val create_exn : n:int -> Comm.t list -> t
 (** Like {!create} but raises [Invalid_argument] with a diagnostic. *)
@@ -41,10 +51,14 @@ val comms : t -> Comm.t array
 (** Communications sorted by source.  Do not mutate. *)
 
 val mem : t -> Comm.t -> bool
-val roles : t -> role array
-(** Array of length [n]: role of each PE. *)
+
+val iter_endpoints : t -> (int -> role -> unit) -> unit
+(** [iter_endpoints t f] calls [f pe role] on every endpoint in
+    increasing PE order ([role] is never [Idle]; idle PEs are skipped).
+    O(size log size), independent of [n]. *)
 
 val role_of : t -> int -> role
+(** Role of one PE, by a scan of the members: O(size). *)
 
 val is_right_oriented : t -> bool
 (** Every member has [src < dst]. *)

@@ -47,7 +47,7 @@ let blocks ?(check = true) ?spans set =
   if check then begin
     if not (Comm_set.is_right_oriented set) then
       invalid_arg "Decompose.blocks: set is not right-oriented";
-    match Well_nested.check set with
+    match Well_nested.validate set with
     | Ok _ -> ()
     | Error v ->
         invalid_arg

@@ -47,7 +47,7 @@ val blocks : ?check:bool -> ?spans:int array -> Comm_set.t -> block list
 
     Raises [Invalid_argument] if the set is not right-oriented or not
     well-nested.  [~check:false] skips that validation for callers that
-    have already run {!Well_nested.check} on this exact set (the
+    have already run {!Well_nested.validate} on this exact set (the
     decomposition itself assumes the laminar structure it certifies).
 
     [?spans] replaces the power-of-two ladder with the tree's actual

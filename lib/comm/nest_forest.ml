@@ -13,8 +13,7 @@ let build set =
   let depth = Array.make m 0 in
   let roots = ref [] in
   let stack = ref [] in
-  Array.iter
-    (fun role ->
+  Comm_set.iter_endpoints set (fun _pe role ->
       match role with
       | Comm_set.Source i -> (
           (match !stack with
@@ -32,8 +31,7 @@ let build set =
           | _ ->
               invalid_arg
                 "Nest_forest.build: set is not well-nested right-oriented")
-      | Comm_set.Idle -> ())
-    (Comm_set.roles set);
+      | Comm_set.Idle -> ());
   if !stack <> [] then
     invalid_arg "Nest_forest.build: set is not well-nested right-oriented";
   {

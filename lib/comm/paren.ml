@@ -3,12 +3,13 @@ type token = Open | Close | Blank
 let tokens set =
   if not (Comm_set.is_right_oriented set) then
     invalid_arg "Paren.tokens: set is not right-oriented";
-  Array.map
-    (function
-      | Comm_set.Source _ -> Open
-      | Comm_set.Dest _ -> Close
-      | Comm_set.Idle -> Blank)
-    (Comm_set.roles set)
+  let toks = Array.make (Comm_set.n set) Blank in
+  Array.iter
+    (fun (c : Comm.t) ->
+      toks.(c.src) <- Open;
+      toks.(c.dst) <- Close)
+    (Comm_set.comms set);
+  toks
 
 let to_string set =
   tokens set

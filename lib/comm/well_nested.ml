@@ -8,17 +8,17 @@ let pp_violation fmt = function
   | Crossing (a, b) ->
       Format.fprintf fmt "communications %a and %a cross" Comm.pp a Comm.pp b
 
-let check set =
+(* Walk the endpoints in PE order with a stack of open communications:
+   a destination must close the most recently opened communication.
+   O(size log size), independent of the PE count. *)
+let validate set =
   let comms = Comm_set.comms set in
   match Array.find_opt Comm.is_left_oriented comms with
   | Some c -> Error (Not_right_oriented c)
   | None -> (
-      (* Scan PEs left to right with a stack of open communications: a
-         destination must close the most recently opened communication. *)
       let stack = ref [] in
       let bad = ref None in
-      Array.iter
-        (fun role ->
+      Comm_set.iter_endpoints set (fun _pe role ->
           if !bad = None then
             match role with
             | Comm_set.Source i -> stack := i :: !stack
@@ -30,13 +30,15 @@ let check set =
                     (* Impossible for a valid right-oriented set: the source
                        of [i] lies strictly to the left and was pushed. *)
                     assert false)
-            | Comm_set.Idle -> ())
-        (Comm_set.roles set);
-      match !bad with
-      | Some v -> Error v
-      | None -> Ok (Nest_forest.build set))
+            | Comm_set.Idle -> ());
+      match !bad with Some v -> Error v | None -> Ok ())
 
-let is_well_nested set = Result.is_ok (check set)
+let check set =
+  match validate set with
+  | Error v -> Error v
+  | Ok () -> Ok (Nest_forest.build set)
+
+let is_well_nested set = Result.is_ok (validate set)
 
 let crossing_pairs set =
   let comms = Comm_set.comms set in

@@ -12,7 +12,12 @@ type violation =
   | Crossing of Comm.t * Comm.t
       (** Two members interleave as [s1 < s2 < d1 < d2]. *)
 
+val validate : Comm_set.t -> (unit, violation) result
+(** The verdict of {!check} without building the forest: one walk of
+    the endpoints in PE order, O(size log size). *)
+
 val check : Comm_set.t -> (Nest_forest.t, violation) result
+(** {!validate}, then the nesting forest as the positive certificate. *)
 
 val is_well_nested : Comm_set.t -> bool
 

@@ -22,7 +22,10 @@ val crossings : leaves:int -> Comm_set.t -> crossings
 (** Per-link congestion in O(M log leaves). *)
 
 val width : leaves:int -> Comm_set.t -> int
-(** Maximum entry of {!crossings}; 0 for the empty set. *)
+(** Maximum entry of {!crossings}; 0 for the empty set.  Counts only
+    the links the set's paths cross, in per-domain scratch counters:
+    O(M log leaves), with no allocation once the domain has seen a tree
+    this large. *)
 
 val width_auto : Comm_set.t -> int
 (** {!width} with [leaves] = smallest adequate power of two. *)
@@ -37,13 +40,24 @@ val crossings_on : parent:int array -> first_leaf:int -> Comm_set.t -> crossings
     id. *)
 
 val width_on :
-  parent:int array -> first_leaf:int -> cap:int array -> Comm_set.t -> int
-(** Capacity-weighted width: [max] over non-root nodes [v] of
-    [ceil (up v / cap.(v))] and [ceil (down v / cap.(v))], where
-    [cap.(v)] is the capacity of the [v]-to-parent link.  A capacity-[c]
-    link admits [c] simultaneous circuits per round, so a width-[w] set
-    needs [w] rounds (Theorem 5 generalized: the bound divides by the
-    oversubscription ratio).  All-ones [cap] recovers {!width}. *)
+  parent:(int -> int) ->
+  first_leaf:int ->
+  leaves:int ->
+  cap:(int -> int) ->
+  Comm_set.t ->
+  int
+(** Capacity-weighted width on an arbitrary tree: [parent v] is the
+    parent of non-root node [v] (ids increase parent-to-child as in BFS
+    numbering) and the [leaves] leaves are the contiguous tail from
+    [first_leaf], leaf [p] at [first_leaf + p].  The result is the
+    [max] over non-root nodes [v] of [ceil (up v / cap v)] and
+    [ceil (down v / cap v)], where [cap v] is the capacity of the
+    [v]-to-parent link and [up]/[down] are {!crossings_on}'s counts.  A
+    capacity-[c] link admits [c] simultaneous circuits per round, so a
+    width-[w] set needs [w] rounds (Theorem 5 generalized: the bound
+    divides by the oversubscription ratio).  Unit capacities recover
+    {!width}.  Like {!width} it counts only the links the paths cross,
+    so no table of the tree is built. *)
 
 val check_against_naive : leaves:int -> Comm_set.t -> bool
 (** Recomputes congestion by interval containment per node (O(M·leaves))

@@ -63,7 +63,7 @@ let simulate ~log topo set =
   if Cst_comm.Comm_set.n set > leaves then
     Error (Sched_error.Too_large { n = Cst_comm.Comm_set.n set; leaves })
   else
-    match Cst_comm.Well_nested.check set with
+    match Cst_comm.Well_nested.validate set with
     | Error v -> Error (Sched_error.Not_well_nested v)
     | Ok _ ->
         let levels = Cst.Topology.levels topo in

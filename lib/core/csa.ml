@@ -27,9 +27,9 @@ let run ?keep_configs ?(eager_clear = false) ?net ?log topo set =
   if Cst_comm.Comm_set.n set > leaves then
     Error (Too_large { n = Cst_comm.Comm_set.n set; leaves })
   else
-    match Cst_comm.Well_nested.check set with
+    match Cst_comm.Well_nested.validate set with
     | Error v -> Error (Not_well_nested v)
-    | Ok _forest ->
+    | Ok () ->
         let phase1 = Phase1.run topo set in
         let net =
           match net with

@@ -9,7 +9,7 @@
     quantities of Theorem 5: cycles, message count and message size.
 
     Two implementations are exposed.  {!run} is the sparse-frontier engine:
-    Phase 1 walks precomputed level buckets and each Phase-2 down sweep
+    Phase 1 walks each level's id range and each Phase-2 down sweep
     follows an explicit frontier of nodes that hold a message or still own
     an unscheduled match, so a round costs O(active paths * depth) of
     simulator time instead of O(n log n).  {!run_dense} is the original

@@ -20,7 +20,7 @@ let validate set =
           |> List.map (fun (c : Cst_comm.Comm.t) ->
                  Cst_comm.Comm.make ~src:c.dst ~dst:c.src))
       in
-      match Cst_comm.Well_nested.check flipped with
+      match Cst_comm.Well_nested.validate flipped with
       | Ok _ -> Ok ()
       | Error (Cst_comm.Well_nested.Crossing (a, b)) ->
           Error
@@ -35,15 +35,11 @@ let phase1 topo set =
   let num = 2 * leaves in
   let s_up = Array.make num 0 and d_up = Array.make num 0 in
   let states = Array.init leaves (fun _ -> Csa_state.zero ()) in
-  let roles = Cst_comm.Comm_set.roles set in
-  for pe = 0 to leaves - 1 do
-    let node = Cst.Topology.node_of_pe topo pe in
-    if pe < Array.length roles then
-      match roles.(pe) with
-      | Cst_comm.Comm_set.Source _ -> s_up.(node) <- 1
-      | Cst_comm.Comm_set.Dest _ -> d_up.(node) <- 1
-      | Cst_comm.Comm_set.Idle -> ()
-  done;
+  Array.iter
+    (fun (c : Cst_comm.Comm.t) ->
+      s_up.(Cst.Topology.node_of_pe topo c.src) <- 1;
+      d_up.(Cst.Topology.node_of_pe topo c.dst) <- 1)
+    (Cst_comm.Comm_set.comms set);
   Cst.Topology.iter_internal_bottom_up topo (fun u ->
       let y = Cst.Topology.left topo u and z = Cst.Topology.right topo u in
       let s_l = s_up.(y) and d_l = d_up.(y) in

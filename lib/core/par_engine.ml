@@ -17,7 +17,7 @@ let decompose topo set =
   if Cst_comm.Comm_set.n set > leaves then
     Error (Csa.Too_large { n = Cst_comm.Comm_set.n set; leaves })
   else
-    match Cst_comm.Well_nested.check set with
+    match Cst_comm.Well_nested.validate set with
     | Error v -> Error (Csa.Not_well_nested v)
     | Ok _ ->
         let spans =
@@ -25,7 +25,7 @@ let decompose topo set =
         in
         Ok (Cst_comm.Decompose.blocks ~check:false ?spans set)
 
-let run_block ?small topo (b : Cst_comm.Decompose.block) =
+let run_block topo (b : Cst_comm.Decompose.block) =
   if not (Cst.Topology.is_binary topo) then begin
     (* Non-binary blocks run in absolute coordinates on the shared full
        topology — rebase's subtree congruence is a binary property, and
@@ -36,11 +36,7 @@ let run_block ?small topo (b : Cst_comm.Decompose.block) =
     | Ok _stats -> Ok log
   end
   else
-    let small =
-      match small with
-      | Some t -> t
-      | None -> Cst.Topology.create ~leaves:b.align
-    in
+    let small = Cst.Topology.create ~leaves:b.align in
     let local = Cst_comm.Decompose.localize b in
     let log = Cst.Exec_log.create () in
     match Engine.run_log ~log small local with
@@ -69,23 +65,7 @@ let run ?(domains = 1) ?keep_configs ?log topo set =
   | Ok blocks -> (
       let arr = Array.of_list blocks in
       let nblocks = Array.length arr in
-      (* Blocks share at most log2(leaves) distinct align sizes; build
-         each small topology once.  Topologies are immutable after
-         [create], so sharing them across domains is safe. *)
-      let small_topos =
-        if not (Cst.Topology.is_binary topo) then []
-        else
-          Array.fold_left
-            (fun acc (b : Cst_comm.Decompose.block) ->
-              if List.mem_assoc b.align acc then acc
-              else (b.align, Cst.Topology.create ~leaves:b.align) :: acc)
-            [] arr
-      in
-      let run_one (b : Cst_comm.Decompose.block) =
-        match List.assoc_opt b.align small_topos with
-        | Some small -> run_block ~small topo b
-        | None -> run_block topo b
-      in
+      let run_one = run_block topo in
       let results = Array.make nblocks None in
       let body () =
         if domains <= 1 || nblocks <= 1 then

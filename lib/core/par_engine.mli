@@ -36,15 +36,13 @@ val decompose :
     independent top-level blocks. *)
 
 val run_block :
-  ?small:Cst.Topology.t ->
   Cst.Topology.t ->
   Cst_comm.Decompose.block ->
   (Cst.Exec_log.t, Csa.error) result
 (** Run the sparse engine on one block — the localized set on an
-    [align]-leaf tree — and rebase the resulting single-run log into
-    [topo]'s coordinates at the block's leaf offset.  [?small] supplies
-    the [align]-leaf topology when the caller already has one (it is
-    created otherwise); {!run} shares one per distinct align size. *)
+    [align]-leaf tree, whose topology costs O(levels) to build — and
+    rebase the resulting single-run log into [topo]'s coordinates at the
+    block's leaf offset. *)
 
 val merge_blocks :
   ?keep_configs:bool ->

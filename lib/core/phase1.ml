@@ -14,14 +14,11 @@ let run topo set =
   let s_up = Array.make num 0 and d_up = Array.make num 0 in
   let states = Array.init leaves (fun _ -> Csa_state.zero ()) in
   (* Step 1.1: leaf reports. *)
-  let roles = Cst_comm.Comm_set.roles set in
-  for pe = 0 to leaves - 1 do
-    let node = Cst.Topology.node_of_pe topo pe in
-    match if pe < Array.length roles then roles.(pe) else Cst_comm.Comm_set.Idle with
-    | Cst_comm.Comm_set.Source _ -> s_up.(node) <- 1
-    | Cst_comm.Comm_set.Dest _ -> d_up.(node) <- 1
-    | Cst_comm.Comm_set.Idle -> ()
-  done;
+  Array.iter
+    (fun (c : Cst_comm.Comm.t) ->
+      s_up.(Cst.Topology.node_of_pe topo c.src) <- 1;
+      d_up.(Cst.Topology.node_of_pe topo c.dst) <- 1)
+    (Cst_comm.Comm_set.comms set);
   (* Steps 1.2-1.3: combine children bottom-up. *)
   Cst.Topology.iter_internal_bottom_up topo (fun u ->
       let y = Cst.Topology.left topo u and z = Cst.Topology.right topo u in

@@ -47,6 +47,12 @@ type t = {
           per level plus a transfer cycle per round *)
 }
 
+val width_of : Cst.Topology.t -> Cst_comm.Comm_set.t -> int
+(** The set's width on [topo]: {!Cst_comm.Width.width} on the binary
+    shape, the capacity-weighted {!Cst_comm.Width.width_on} otherwise.
+    Counts only the links the set's paths cross — O(M * path length),
+    no table of the tree. *)
+
 val of_log :
   ?from:int ->
   ?upto:int ->
@@ -57,8 +63,8 @@ val of_log :
   Cst.Exec_log.t ->
   t
 (** Derive a schedule from a log range: rounds, deliveries and config
-    snapshots from {!Cst.Exec_log.fold_rounds}, power from
-    {!power_of_log}.  [cycles] stays caller-supplied because
+    snapshots from {!Cst.Exec_log.fold_rounds}, width from {!width_of},
+    power from {!power_of_log}.  [cycles] stays caller-supplied because
     the synchronous-cycle formula is a property of the producer (the
     message-passing engine pays an extra broadcast sweep).  This is the
     only constructor the producers use. *)

@@ -26,16 +26,6 @@ let round_fits topo comms =
     (fun (v, _) n ok -> ok && n <= Cst.Topology.uplink_cap topo v)
     tbl true
 
-let width_of topo set =
-  if Cst.Topology.is_binary topo then
-    Cst_comm.Width.width ~leaves:(Cst.Topology.leaves topo) set
-  else
-    Cst_comm.Width.width_on
-      ~parent:(Cst.Topology.parent_table topo)
-      ~first_leaf:(Cst.Topology.first_leaf topo)
-      ~cap:(Cst.Topology.cap_table topo)
-      set
-
 let replay_round topo (round : Schedule.round) =
   let net = Cst.Net.create topo in
   Array.iter
@@ -77,7 +67,7 @@ let schedule ?(power_bound = default_power_bound)
             r.index
       end)
     sched.rounds;
-  let width = width_of topo set in
+  let width = Schedule.width_of topo set in
   if check_rounds_optimal && Schedule.num_rounds sched <> width then
     problem "rounds (%d) differ from width (%d)"
       (Schedule.num_rounds sched)

@@ -1,3 +1,8 @@
+(* The whole topology is its level table: a handful of arrays with one
+   entry per depth, so [of_shape] is O(levels) and no field grows with
+   the leaf count.  Every depth occupies a contiguous id range, so a
+   node's depth is a search over [offsets] (a bit length on binary) and
+   a level's nodes are an id range, not a stored bucket. *)
 type t = {
   shape : Shape.t;
   leaves : int;
@@ -5,18 +10,13 @@ type t = {
   binary : bool;
   offsets : int array;
       (* offsets.(d) = id of the first node at depth d (BFS numbering:
-         1 + nodes above depth d).  On the binary shape this is 2^d, so
-         ids coincide with the classic heap numbering. *)
+         1 + nodes above depth d), d in [0 .. levels + 1]; the last entry
+         is num_nodes + 1.  On the binary shape this is 2^d, so ids
+         coincide with the classic heap numbering. *)
   spans : int array;  (* spans.(d) = leaves covered by one depth-d node *)
   fanouts : int array;  (* fanouts.(d) = children per node at depth d *)
   caps : int array;  (* caps.(d) = uplink capacity of a depth-d node *)
   num_nodes : int;
-  depth : int array;
-      (* depth.(v) for v in [1 .. num_nodes]; slot 0 unused.  Leaves sit
-         at depth [levels], the root at depth 0. *)
-  nodes_at_level : int array array;
-      (* nodes_at_level.(lvl) = every node of level [lvl] in increasing id
-         order; level levels = root, level 0 = leaves. *)
 }
 
 let of_shape shape =
@@ -27,32 +27,16 @@ let of_shape shape =
   for d = 0 to levels do
     offsets.(d + 1) <- offsets.(d) + sizes.(d)
   done;
-  let num_nodes = offsets.(levels + 1) - 1 in
-  let spans = Array.map (fun s -> leaves / s) sizes in
-  let fanouts = Array.init levels (fun d -> sizes.(d + 1) / sizes.(d)) in
-  let depth = Array.make (num_nodes + 1) 0 in
-  for d = 0 to levels do
-    for v = offsets.(d) to offsets.(d + 1) - 1 do
-      depth.(v) <- d
-    done
-  done;
-  let nodes_at_level =
-    Array.init (levels + 1) (fun lvl ->
-        let d = levels - lvl in
-        Array.init sizes.(d) (fun i -> offsets.(d) + i))
-  in
   {
     shape;
     leaves;
     levels;
     binary = Shape.is_binary shape;
     offsets;
-    spans;
-    fanouts;
+    spans = Array.map (fun s -> leaves / s) sizes;
+    fanouts = Array.init levels (fun d -> sizes.(d + 1) / sizes.(d));
     caps = Shape.caps shape;
-    num_nodes;
-    depth;
-    nodes_at_level;
+    num_nodes = offsets.(levels + 1) - 1;
   }
 
 let create ~leaves = of_shape (Shape.binary ~leaves)
@@ -69,6 +53,19 @@ let check_node t v =
 
 let first_leaf t = t.offsets.(t.levels)
 
+(* Depth of a valid node: its bit length on binary, otherwise the last
+   depth whose first id is <= v (searched leaf-up: most lookups are of
+   deep nodes). *)
+let depth_of t v =
+  if t.binary then Cst_util.Bits.ilog2 v
+  else begin
+    let d = ref t.levels in
+    while Array.unsafe_get t.offsets !d > v do
+      decr d
+    done;
+    !d
+  end
+
 let is_leaf t v =
   check_node t v;
   v >= t.offsets.(t.levels)
@@ -83,33 +80,39 @@ let pe_of_node t v =
   if not (is_leaf t v) then invalid_arg "Topology.pe_of_node: internal node";
   v - t.offsets.(t.levels)
 
-let parent t v =
-  check_node t v;
-  if v = root then invalid_arg "Topology.parent: root"
+(* Parent of a valid non-root node; heap arithmetic on binary. *)
+let up t v =
+  if t.binary then v lsr 1
   else
-    let d = t.depth.(v) in
+    let d = depth_of t v in
     t.offsets.(d - 1) + ((v - t.offsets.(d)) / t.fanouts.(d - 1))
 
+let parent t v =
+  check_node t v;
+  if v = root then invalid_arg "Topology.parent: root" else up t v
+
 let fanout_of t v =
-  if is_leaf t v then 0 else t.fanouts.(t.depth.(v))
+  if is_leaf t v then 0 else if t.binary then 2 else t.fanouts.(depth_of t v)
 
 let child t v j =
   if is_leaf t v then invalid_arg "Topology.child: leaf";
-  let d = t.depth.(v) in
+  let d = depth_of t v in
   let f = t.fanouts.(d) in
   if j < 0 || j >= f then invalid_arg "Topology.child: bad child index";
   t.offsets.(d + 1) + ((v - t.offsets.(d)) * f) + j
 
 let left t v =
   if is_leaf t v then invalid_arg "Topology.left: leaf"
+  else if t.binary then v lsl 1
   else
-    let d = t.depth.(v) in
+    let d = depth_of t v in
     t.offsets.(d + 1) + ((v - t.offsets.(d)) * t.fanouts.(d))
 
 let right t v =
   if is_leaf t v then invalid_arg "Topology.right: leaf"
+  else if t.binary then (v lsl 1) lor 1
   else
-    let d = t.depth.(v) in
+    let d = depth_of t v in
     t.offsets.(d + 1) + ((v - t.offsets.(d)) * t.fanouts.(d)) + 1
 
 (* Unchecked binary-only accessors: callers guarantee a binary topology
@@ -118,22 +121,29 @@ let right t v =
 let left_u v = v lsl 1
 let right_u v = (v lsl 1) lor 1
 let parent_u v = v lsr 1
-let depth_u t v = Array.unsafe_get t.depth v
-let level_u t v = t.levels - Array.unsafe_get t.depth v
-let nodes_at_level t lvl = t.nodes_at_level.(lvl)
+let depth_u = depth_of
+let level_u t v = t.levels - depth_of t v
+
+let level_range t lvl =
+  if lvl < 0 || lvl > t.levels then
+    invalid_arg (Printf.sprintf "Topology.level_range: bad level %d" lvl);
+  let d = t.levels - lvl in
+  (t.offsets.(d), t.offsets.(d + 1))
 
 let child_index t v =
   check_node t v;
   if v = root then invalid_arg "Topology.child_index: root"
+  else if t.binary then v land 1
   else
-    let d = t.depth.(v) in
+    let d = depth_of t v in
     (v - t.offsets.(d)) mod t.fanouts.(d - 1)
 
 let child_side t v =
   check_node t v;
   if v = root then invalid_arg "Topology.child_side: root"
+  else if t.binary then if v land 1 = 0 then Side.L else Side.R
   else
-    let d = t.depth.(v) in
+    let d = depth_of t v in
     let f = t.fanouts.(d - 1) in
     if f <> 2 then invalid_arg "Topology.child_side: parent fanout is not 2"
     else if (v - t.offsets.(d)) mod 2 = 0 then Side.L
@@ -143,16 +153,12 @@ let level t v =
   check_node t v;
   level_u t v
 
-let up t v =
-  let d = t.depth.(v) in
-  t.offsets.(d - 1) + ((v - t.offsets.(d)) / t.fanouts.(d - 1))
-
 let lca t a b =
   check_node t a;
   check_node t b;
-  (* Equalize depths via the depth table, then climb in lock-step. *)
+  (* Equalize depths, then climb in lock-step. *)
+  let da = ref (depth_of t a) and db = ref (depth_of t b) in
   let a = ref a and b = ref b in
-  let da = ref t.depth.(!a) and db = ref t.depth.(!b) in
   while !da > !db do
     a := up t !a;
     decr da
@@ -171,7 +177,7 @@ let interval t v =
   check_node t v;
   (* The subtree of v spans a contiguous block of leaves whose size is
      determined by v's depth. *)
-  let d = t.depth.(v) in
+  let d = depth_of t v in
   let size = t.spans.(d) in
   let lo = (v - t.offsets.(d)) * size in
   (lo, lo + size)
@@ -180,20 +186,21 @@ let mid t v =
   if is_leaf t v then invalid_arg "Topology.mid: leaf";
   (* First leaf not covered by v's first child: the boundary between
      child 0 and child 1 (the left/right split point on fanout 2). *)
-  let d = t.depth.(v) in
+  let d = depth_of t v in
   let lo = (v - t.offsets.(d)) * t.spans.(d) in
   lo + t.spans.(d + 1)
 
 let mirror_node t v =
   check_node t v;
   (* Reflection reverses the node order within each depth. *)
-  let d = t.depth.(v) in
+  let d = depth_of t v in
   (2 * t.offsets.(d)) + (t.spans.(0) / t.spans.(d)) - 1 - v
 
 let uplink_cap t v =
   check_node t v;
   if v = root then invalid_arg "Topology.uplink_cap: root"
-  else t.caps.(t.depth.(v))
+  else if t.binary then 1
+  else t.caps.(depth_of t v)
 
 let parent_table t =
   let pt = Array.make (t.num_nodes + 1) 0 in
@@ -205,7 +212,7 @@ let parent_table t =
 let cap_table t =
   let ct = Array.make (t.num_nodes + 1) 0 in
   for v = 2 to t.num_nodes do
-    ct.(v) <- t.caps.(t.depth.(v))
+    ct.(v) <- t.caps.(depth_of t v)
   done;
   ct
 

@@ -8,7 +8,12 @@
     [leaves + p] — so binary topologies are bit-for-bit identical to
     the historical hard-wired implementation.  Internal nodes are
     [1 .. first_leaf - 1]; they carry the switches.  Every non-root
-    node has one link to its parent whose capacity the shape fixes. *)
+    node has one link to its parent whose capacity the shape fixes.
+
+    A topology is its level table and nothing else: {!create} and
+    {!of_shape} cost O(levels) time and space, whatever the leaf count.
+    A node's depth is its bit length on the binary shape and a search
+    over the [levels + 2] per-depth first ids otherwise. *)
 
 type t
 
@@ -77,9 +82,8 @@ val uplink_cap : t -> int -> int
 
 (** {2 Hot-path accessors}
 
-    The [_u] accessors skip node validation (and, for
-    [level_u]/[depth_u], read a precomputed depth table).  They are
-    meant for the engines' inner loops; callers must guarantee
+    The [_u] accessors skip node validation.  They are meant for the
+    engines' inner loops; callers must guarantee
     [1 <= v <= num_nodes t] (and internality where children are taken).
     [left_u]/[right_u]/[parent_u] additionally assume a {e binary}
     topology — they are plain heap arithmetic and are wrong on any
@@ -95,15 +99,18 @@ val parent_u : int -> int
 (** [v/2], unchecked, binary only. *)
 
 val depth_u : t -> int -> int
-(** Depth of node [v] (table lookup): root 0, leaves [levels]. *)
+(** Depth of node [v]: root 0, leaves [levels].  O(1) on binary
+    (bit length), O(levels) otherwise. *)
 
 val level_u : t -> int -> int
-(** [levels t - depth_u t v], unchecked table lookup. *)
+(** [levels t - depth_u t v], unchecked. *)
 
-val nodes_at_level : t -> int -> int array
-(** All nodes of a level in increasing id order; level [levels t] is
-    [[|root|]], level 0 the leaves.  The returned array is the topology's
-    own bucket — callers must not mutate it. *)
+val level_range : t -> int -> int * int
+(** The ids of one level as a half-open range [\[lo, hi)]: every level
+    is contiguous under breadth-first numbering, in increasing id order.
+    Level [levels t] is [(root, root + 1)], level 0 the leaves
+    [(first_leaf t, num_nodes t + 1)].  Raises [Invalid_argument] on a
+    level outside [\[0, levels t\]]. *)
 
 val lca : t -> int -> int -> int
 

@@ -369,7 +369,8 @@ let width_of_set ?shape mapping set =
       if Cst.Topology.leaves topo <> Mapping.n mapping then
         invalid_arg "Optimize.width_of_set: mapping/shape leaf mismatch";
       W.width_on
-        ~parent:(Cst.Topology.parent_table topo)
+        ~parent:(Cst.Topology.parent topo)
         ~first_leaf:(Cst.Topology.first_leaf topo)
-        ~cap:(Cst.Topology.cap_table topo)
+        ~leaves:(Cst.Topology.leaves topo)
+        ~cap:(Cst.Topology.uplink_cap topo)
         mapped

@@ -202,7 +202,7 @@ let width_if (e : epoch_state) (cr : Cst_comm.Width.crossings option) =
 let intervals_of set =
   if
     Cst_comm.Comm_set.is_right_oriented set
-    && Result.is_ok (Cst_comm.Well_nested.check set)
+    && Cst_comm.Well_nested.is_well_nested set
   then
     Some
       (List.map

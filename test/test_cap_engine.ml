@@ -11,9 +11,10 @@ let fat level_sizes capacities =
 
 let width_on topo set =
   Cst_comm.Width.width_on
-    ~parent:(Cst.Topology.parent_table topo)
+    ~parent:(Cst.Topology.parent topo)
     ~first_leaf:(Cst.Topology.first_leaf topo)
-    ~cap:(Cst.Topology.cap_table topo)
+    ~leaves:(Cst.Topology.leaves topo)
+    ~cap:(Cst.Topology.uplink_cap topo)
     set
 
 let onion = Cst_workloads.Gen_wn.onion

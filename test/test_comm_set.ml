@@ -100,6 +100,85 @@ let test_of_string_errors () =
   check_true "out of range"
     (Result.is_error (Cst_comm.Comm_set.of_string "n 4\n0 9\n"))
 
+(* The validator of a set that kept one role slot per PE: members in
+   source order, each claiming its source and then its destination,
+   the first failing member deciding the error.  [create] must reach
+   the same verdict by sorting endpoints. *)
+let slot_validator ~n comms =
+  let comms = Array.of_list comms in
+  Array.sort Cst_comm.Comm.compare comms;
+  let claimed = Array.make n false in
+  let err = ref None in
+  Array.iter
+    (fun (c : Cst_comm.Comm.t) ->
+      if !err = None then
+        if c.src >= n || c.dst >= n then
+          err := Some (Cst_comm.Comm_set.Out_of_range c)
+        else begin
+          if claimed.(c.src) then
+            err := Some (Cst_comm.Comm_set.Shared_endpoint c.src)
+          else claimed.(c.src) <- true;
+          if claimed.(c.dst) then
+            err := Some (Cst_comm.Comm_set.Shared_endpoint c.dst)
+          else claimed.(c.dst) <- true
+        end)
+    comms;
+  match !err with Some e -> Error e | None -> Ok comms
+
+(* Few PEs and endpoints up to n + 2 make shared and out-of-range
+   endpoints common. *)
+let gen_candidate =
+  QCheck.Gen.(
+    int_range 1 12 >>= fun n ->
+    list_size (int_bound 8)
+      (pair (int_bound (n + 2)) (int_bound (n + 2))
+      |> map (fun (a, b) -> if a = b then (a, b + 1) else (a, b)))
+    >|= fun pairs -> (n, pairs))
+
+let prop_create_matches_slot_validator =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000
+       ~name:"create gives the per-PE validator's Ok or first Error"
+       (QCheck.make
+          ~print:(fun (n, ps) ->
+            Printf.sprintf "n=%d [%s]" n
+              (String.concat "; "
+                 (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) ps)))
+          gen_candidate)
+       (fun (n, pairs) ->
+         let comms = List.map comm pairs in
+         match (Cst_comm.Comm_set.create ~n comms, slot_validator ~n comms) with
+         | Ok s, Ok expected ->
+             Cst_comm.Comm_set.n s = n
+             && Cst_comm.Comm_set.comms s = expected
+         | Error e, Error e' -> e = e'
+         | _ -> false))
+
+(* The endpoint walk visits every endpoint once, in PE order, with the
+   role [role_of] reports — on crossing and mixed-orientation sets too. *)
+let prop_iter_endpoints =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"iter_endpoints walks the endpoints in PE order"
+       QCheck.(triple (int_bound 1_000_000) (int_range 1 9) (int_bound 100))
+       (fun (seed, n_exp, pct) ->
+         let n = 1 lsl n_exp in
+         let rng = Cst_util.Prng.create seed in
+         let s =
+           Cst_workloads.Gen_arbitrary.random_pairs rng ~n
+             ~pairs:(n / 2 * pct / 100)
+         in
+         let seen = ref [] in
+         Cst_comm.Comm_set.iter_endpoints s (fun pe role ->
+             seen := (pe, role) :: !seen);
+         let seen = List.rev !seen in
+         let pes = List.map fst seen in
+         List.length seen = 2 * Cst_comm.Comm_set.size s
+         && List.sort_uniq compare pes = pes
+         && List.for_all
+              (fun (pe, role) -> Cst_comm.Comm_set.role_of s pe = role)
+              seen))
+
 let suite =
   [
     case "create valid" test_create_valid;
@@ -117,4 +196,6 @@ let suite =
     case "string round trip" test_string_round_trip;
     case "of_string comments" test_of_string_comments;
     case "of_string errors" test_of_string_errors;
+    prop_create_matches_slot_validator;
+    prop_iter_endpoints;
   ]

@@ -230,23 +230,151 @@ let test_level_buckets () =
       let t = Cst.Topology.create ~leaves in
       let seen = Array.make (Cst.Topology.num_nodes t + 1) false in
       for lvl = 0 to Cst.Topology.levels t do
-        let bucket = Cst.Topology.nodes_at_level t lvl in
-        Array.iteri
-          (fun i v ->
-            check_int
-              (Printf.sprintf "bucket level leaves=%d v=%d" leaves v)
-              lvl (Cst.Topology.level t v);
-            check_true "bucket is fresh" (not seen.(v));
-            seen.(v) <- true;
-            if i > 0 then
-              check_true "bucket increasing" (bucket.(i - 1) < v))
-          bucket
+        let lo, hi = Cst.Topology.level_range t lvl in
+        check_true "level range non-empty" (lo < hi);
+        for v = lo to hi - 1 do
+          check_int
+            (Printf.sprintf "range level leaves=%d v=%d" leaves v)
+            lvl (Cst.Topology.level t v);
+          check_true "range is fresh" (not seen.(v));
+          seen.(v) <- true
+        done
       done;
-      (* every node appears in exactly one bucket *)
+      (* every node appears in exactly one range *)
       for v = 1 to Cst.Topology.num_nodes t do
-        check_true "bucket covers" seen.(v)
+        check_true "ranges cover" seen.(v)
       done)
     sizes
+
+(* Every accessor that reads depth against an explicit tree built node
+   by node: a breadth-first queue hands each node the shape's fanout of
+   children, so parents, depths, leaf order and intervals come from the
+   construction, not from the offset arithmetic under test.  Binary
+   trees of every size above plus k-ary and capacity-weighted fat
+   shapes. *)
+type model = {
+  m_parent : int array;
+  m_depth : int array;
+  m_children : int list array;
+  m_first_leaf : int;
+}
+
+let build_model shape =
+  let levels = Cst.Shape.levels shape in
+  let num = Cst.Shape.num_nodes shape in
+  let m_parent = Array.make (num + 1) 0
+  and m_depth = Array.make (num + 1) 0
+  and m_children = Array.make (num + 1) [] in
+  let next = ref 2 in
+  let q = Queue.create () in
+  Queue.add 1 q;
+  while not (Queue.is_empty q) do
+    let v = Queue.pop q in
+    if m_depth.(v) < levels then begin
+      let f = Cst.Shape.fanout_at shape ~depth:m_depth.(v) in
+      let kids = List.init f (fun j -> !next + j) in
+      next := !next + f;
+      List.iter
+        (fun c ->
+          m_parent.(c) <- v;
+          m_depth.(c) <- m_depth.(v) + 1;
+          Queue.add c q)
+        kids;
+      m_children.(v) <- kids
+    end
+  done;
+  let m_first_leaf = ref num in
+  for v = num downto 1 do
+    if m_depth.(v) = levels then m_first_leaf := v
+  done;
+  { m_parent; m_depth; m_children; m_first_leaf = !m_first_leaf }
+
+let rec model_interval m v =
+  match m.m_children.(v) with
+  | [] -> (v - m.m_first_leaf, v - m.m_first_leaf + 1)
+  | kids ->
+      ( fst (model_interval m (List.hd kids)),
+        snd (model_interval m (List.nth kids (List.length kids - 1))) )
+
+let rec model_ancestors m v =
+  if v = 1 then [ 1 ] else v :: model_ancestors m m.m_parent.(v)
+
+let test_accessors_vs_model () =
+  let fat level_sizes capacities =
+    Result.get_ok (Cst.Shape.fat_tree ~level_sizes ~capacities)
+  in
+  let shapes =
+    List.map (fun leaves -> Cst.Shape.binary ~leaves) sizes
+    @ [
+        Cst.Shape.kary ~k:3 ~leaves:27;
+        Cst.Shape.kary ~k:4 ~leaves:64;
+        Cst.Shape.kary ~k:5 ~leaves:125;
+        fat [| 16; 4 |] [| 2; 3 |];
+        fat [| 64; 8; 2 |] [| 1; 2; 4 |];
+        fat [| 96; 12 |] [| 1; 1 |];
+      ]
+  in
+  List.iter
+    (fun shape ->
+      let t = Cst.Topology.of_shape shape in
+      let m = build_model shape in
+      let name = Cst.Shape.to_string shape in
+      let num = Cst.Topology.num_nodes t in
+      let levels = Cst.Topology.levels t in
+      let leaves = Cst.Topology.leaves t in
+      check_int (name ^ " first leaf") m.m_first_leaf
+        (Cst.Topology.first_leaf t);
+      for v = 1 to num do
+        let at = Printf.sprintf "%s v=%d" name v in
+        check_int (at ^ " depth_u") m.m_depth.(v) (Cst.Topology.depth_u t v);
+        check_int (at ^ " level") (levels - m.m_depth.(v))
+          (Cst.Topology.level t v);
+        check_int (at ^ " level_u") (levels - m.m_depth.(v))
+          (Cst.Topology.level_u t v);
+        if v > 1 then begin
+          check_int (at ^ " parent") m.m_parent.(v) (Cst.Topology.parent t v);
+          check_int (at ^ " uplink cap")
+            (Cst.Shape.cap_at shape ~depth:m.m_depth.(v))
+            (Cst.Topology.uplink_cap t v)
+        end;
+        check_true (at ^ " interval")
+          (Cst.Topology.interval t v = model_interval m v);
+        (* mirror: the same-depth node covering the reflected interval *)
+        let lo, hi = model_interval m v in
+        let found = ref 0 in
+        for u = 1 to num do
+          if m.m_depth.(u) = m.m_depth.(v)
+             && model_interval m u = (leaves - hi, leaves - lo)
+          then found := u
+        done;
+        check_int (at ^ " mirror") !found (Cst.Topology.mirror_node t v)
+      done;
+      for lvl = 0 to levels do
+        let lo, hi = Cst.Topology.level_range t lvl in
+        for v = 1 to num do
+          check_true
+            (Printf.sprintf "%s level %d range holds v=%d" name lvl v)
+            (levels - m.m_depth.(v) = lvl = (lo <= v && v < hi))
+        done
+      done;
+      (* lca: the first common ancestor, on a stride sample of pairs *)
+      let step = if num <= 63 then 1 else 7 in
+      let a = ref 1 in
+      while !a <= num do
+        let b = ref 1 in
+        while !b <= num do
+          let pb = model_ancestors m !b in
+          let expect =
+            List.find (fun u -> List.mem u pb) (model_ancestors m !a)
+          in
+          check_int
+            (Printf.sprintf "%s lca (%d,%d)" name !a !b)
+            expect (Cst.Topology.lca t !a !b);
+          b := !b + step
+        done;
+        a := !a + step
+      done)
+    shapes
 
 let prop_lca_interval =
   QCheck_alcotest.to_alcotest
@@ -296,6 +424,8 @@ let suite =
     case "level table" test_level_table;
     case "unchecked accessors" test_unchecked_children;
     case "level buckets" test_level_buckets;
+    case "accessors vs an explicit tree on every shape"
+      test_accessors_vs_model;
     prop_lca_interval;
     prop_interval_parent;
   ]

@@ -70,6 +70,73 @@ let prop_width_le_size =
       let s = set_of_params params in
       Cst_comm.Width.width_auto s <= max 1 (Cst_comm.Comm_set.size s))
 
+(* Sparse widths against the dense per-link oracle: [width] against the
+   maximum of [crossings] on the binary shape, [width_on] against the
+   capacity-weighted maximum of [crossings_on] over the full parent and
+   capacity tables on k-ary and fat shapes — random crossing and
+   mixed-orientation sets up to 2^16 leaves. *)
+let dense_width_on topo set =
+  let cr =
+    Cst_comm.Width.crossings_on
+      ~parent:(Cst.Topology.parent_table topo)
+      ~first_leaf:(Cst.Topology.first_leaf topo)
+      set
+  in
+  let cap = Cst.Topology.cap_table topo in
+  let m = ref 0 in
+  for v = 2 to Cst.Topology.num_nodes topo do
+    let c = cap.(v) in
+    m := max !m (max ((cr.up.(v) + c - 1) / c) ((cr.down.(v) + c - 1) / c))
+  done;
+  !m
+
+let shape_of_choice (kind, e) =
+  let fat level_sizes capacities =
+    Result.get_ok (Cst.Shape.fat_tree ~level_sizes ~capacities)
+  in
+  match kind with
+  | 0 -> Cst.Shape.binary ~leaves:(1 lsl (1 + e))
+  | 1 -> Cst.Shape.kary ~k:4 ~leaves:(1 lsl (2 * (1 + (e mod 8))))
+  | 2 ->
+      Cst.Shape.kary ~k:3
+        ~leaves:(int_of_float (3. ** float_of_int (1 + (e mod 9))))
+  | _ ->
+      (* two-layer fat trees up to 2^16 leaves under 2^(e/2) switches *)
+      let leaves = 1 lsl (2 + (e mod 15)) in
+      let mid = 1 lsl (1 + (e mod 15 / 2)) in
+      fat [| leaves; mid |] [| 1 + (e mod 3); 1 + (e mod 5) |]
+
+let prop_sparse_equals_dense =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:120
+       ~name:"sparse width and width_on equal the dense crossings maximum"
+       QCheck.(
+         quad (int_bound 1_000_000) (int_bound 3) (int_bound 15)
+           (int_bound 100))
+       (fun (seed, kind, e, pct) ->
+         let shape = shape_of_choice (kind, e) in
+         let topo = Cst.Topology.of_shape shape in
+         let n = Cst.Topology.leaves topo in
+         let rng = Cst_util.Prng.create seed in
+         let pairs = max 1 (min 2048 (n / 2 * pct / 100)) in
+         let s = Cst_workloads.Gen_arbitrary.random_pairs rng ~n ~pairs in
+         let sparse_on =
+           Cst_comm.Width.width_on
+             ~parent:(Cst.Topology.parent topo)
+             ~first_leaf:(Cst.Topology.first_leaf topo)
+             ~leaves:n
+             ~cap:(Cst.Topology.uplink_cap topo)
+             s
+         in
+         let dense = dense_width_on topo s in
+         sparse_on = dense
+         && Padr.Schedule.width_of topo s = dense
+         && ((not (Cst.Topology.is_binary topo))
+            ||
+            let cr = Cst_comm.Width.crossings ~leaves:n s in
+            let m = Array.fold_left max 0 cr.up in
+            Cst_comm.Width.width ~leaves:n s = Array.fold_left max m cr.down)))
+
 let suite =
   [
     case "hand-computed widths" test_hand_computed;
@@ -83,4 +150,5 @@ let suite =
     prop_fast_equals_naive;
     prop_width_positive;
     prop_width_le_size;
+    prop_sparse_equals_dense;
   ]
