@@ -130,18 +130,25 @@ let find t ~worker key =
 let add t ~worker key plan =
   locked t (fun () -> admit_locked t ~worker key plan ~on_disk:false)
 
-let flush t =
+let flush_locked t =
+  match t.store with
+  | None -> ()
+  | Some st ->
+      H.iter
+        (fun k e ->
+          if not e.on_disk then begin
+            Plan_store.store st ~algo:k.algo ~engine:k.engine e.plan;
+            e.on_disk <- true
+          end)
+        t.table
+
+let flush t = locked t (fun () -> flush_locked t)
+
+let clear t =
   locked t (fun () ->
-      match t.store with
-      | None -> ()
-      | Some st ->
-          H.iter
-            (fun k e ->
-              if not e.on_disk then begin
-                Plan_store.store st ~algo:k.algo ~engine:k.engine e.plan;
-                e.on_disk <- true
-              end)
-            t.table)
+      flush_locked t;
+      H.reset t.table;
+      t.bytes <- 0)
 
 type stats = {
   hits : int;

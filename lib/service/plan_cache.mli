@@ -65,6 +65,11 @@ val flush : t -> unit
 (** Writes every resident plan the store does not yet hold.  No-op
     without a disk tier. *)
 
+val clear : t -> unit
+(** Empties the memory tier, after writing the plans the store does not
+    yet hold (as {!flush}).  The hit/miss/eviction counters are kept;
+    dropped plans do not count as evictions. *)
+
 type stats = {
   hits : int;
   misses : int;

@@ -223,6 +223,12 @@ val cache_stats : t -> Plan_cache.stats option
     Safe to call while jobs are in flight.  Render with
     {!Plan_cache.sections} / {!Plan_cache.pp_stats}. *)
 
+val clear_cache : t -> unit
+(** Empties the pool's plan cache ({!Plan_cache.clear}); its counters
+    keep counting.  No-op on a pool created with [~cache:false].  Call
+    it between {!drain} and the next {!submit}: a job in flight may
+    still add its plan afterwards. *)
+
 val submit : t -> job -> unit
 (** Blocks while the submission channel is full (backpressure).  Raises
     [Invalid_argument] after {!shutdown}. *)
